@@ -51,19 +51,19 @@ class Mutation:
 @contextmanager
 def _drop_dirty_entry() -> Iterator[None]:
     """Incremental recompute forgets the newest-launched dirty record."""
-    original = GpuDevice._dirty_after_mask_change
+    original = GpuDevice._commit_now
 
-    def mutated(self, mask, old_total):
-        dirty = original(self, mask, old_total)
+    def mutated(self, dirty):
         if dirty:
+            dirty = set(dirty)
             dirty.discard(max(dirty))
-        return dirty
+        return original(self, dirty)
 
-    GpuDevice._dirty_after_mask_change = mutated
+    GpuDevice._commit_now = mutated
     try:
         yield
     finally:
-        GpuDevice._dirty_after_mask_change = original
+        GpuDevice._commit_now = original
 
 
 @contextmanager

@@ -27,7 +27,7 @@ class AqlPacket:
     """Common base: every packet gets an id and a completion signal."""
 
     completion_signal: Optional[Signal] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
 
 @dataclass

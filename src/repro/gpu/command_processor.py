@@ -22,6 +22,7 @@ emulation methodology (Section V) builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Protocol
 
 from repro.gpu.aql import AqlPacket, BarrierAndPacket, KernelDispatchPacket
@@ -99,85 +100,74 @@ class CommandProcessor:
             raise ValueError("queue topology does not match device")
         state = _QueueState(queue)
         self._states[queue.queue_id] = state
-        queue.attach_doorbell(lambda _q, s=state: self._drive(s))
+        # The doorbell passes the queue; _drive ignores it.
+        queue.attach_doorbell(partial(self._drive, state))
 
     # -- per-queue state machine --------------------------------------------
-    def _drive(self, state: _QueueState) -> None:
+    def _drive(self, state: _QueueState, _unused: object = None) -> None:
         if state.consuming:
             return
         packet = state.queue.peek()
         if packet is None:
             return
-        if self._must_wait_for_previous(state, packet):
+        # A barrier-bit kernel waits for the previous packet to retire.
+        previous = state.last_completion
+        if (previous is not None and not previous.fired
+                and isinstance(packet, KernelDispatchPacket)
+                and packet.barrier):
             state.consuming = True
-            assert state.last_completion is not None
-            state.last_completion.on_fire(
-                lambda _v: self._resume_after_wait(state)
-            )
+            previous.on_fire(partial(self._resume_after_wait, state))
             return
         self._consume(state)
 
-    def _resume_after_wait(self, state: _QueueState) -> None:
+    def _resume_after_wait(self, state: _QueueState,
+                           _value: object = None) -> None:
         state.consuming = False
         self._drive(state)
-
-    def _must_wait_for_previous(
-        self, state: _QueueState, packet: AqlPacket
-    ) -> bool:
-        if state.last_completion is None or state.last_completion.fired:
-            return False
-        return isinstance(packet, KernelDispatchPacket) and packet.barrier
 
     def _consume(self, state: _QueueState) -> None:
         packet = state.queue.pop()
         assert packet is not None
         state.consuming = True
-        self.sim.schedule_in(
-            self.config.packet_process_latency,
-            lambda: self._process(state, packet),
-        )
+        sim = self.sim
+        sim.schedule(sim._now + self.config.packet_process_latency,
+                     partial(self._process, state, packet))
 
     def _process(self, state: _QueueState, packet: AqlPacket) -> None:
         self.packets_consumed += 1
         if isinstance(packet, KernelDispatchPacket):
-            self._process_kernel(state, packet)
+            use_allocator = (self.allocator is not None
+                             and packet.launch.requested_cus is not None)
+            # Resource-mask generation costs its firmware latency first.
+            delay = self.config.mask_gen_latency if use_allocator else 0.0
+            if delay > 0:
+                sim = self.sim
+                sim.schedule(sim._now + delay,
+                             partial(self._dispatch, state, packet, True))
+            else:
+                self._dispatch(state, packet, use_allocator)
         elif isinstance(packet, BarrierAndPacket):
             self._process_barrier(state, packet)
         else:
             raise TypeError(f"unknown packet type {type(packet).__name__}")
 
-    def _process_kernel(
-        self, state: _QueueState, packet: KernelDispatchPacket
-    ) -> None:
+    def _dispatch(self, state: _QueueState, packet: KernelDispatchPacket,
+                  use_allocator: bool) -> None:
         launch = packet.launch
-        use_allocator = (
-            self.allocator is not None and launch.requested_cus is not None
-        )
-        extra_delay = self.config.mask_gen_latency if use_allocator else 0.0
-
-        def dispatch() -> None:
-            if use_allocator:
-                assert self.allocator is not None
-                mask = self.allocator.allocate(launch, self.device)
-                self.masks_generated += 1
-                tracer = self.sim.tracer
-                if tracer.enabled:
-                    tracer.mask_decision(launch, mask, self.device)
-            else:
-                mask = state.queue.cu_mask
-            record = self.device.launch(launch, mask)
-            if packet.completion_signal is not None:
-                record.done.on_fire(
-                    lambda value: packet.completion_signal.fire(value)
-                )
-            state.last_completion = record.done
-            state.consuming = False
-            self._drive(state)
-
-        if extra_delay > 0:
-            self.sim.schedule_in(extra_delay, dispatch)
+        if use_allocator:
+            mask = self.allocator.allocate(launch, self.device)
+            self.masks_generated += 1
+            tracer = self.sim.tracer
+            if tracer.enabled:
+                tracer.mask_decision(launch, mask, self.device)
         else:
-            dispatch()
+            mask = state.queue.cu_mask
+        record = self.device.launch(launch, mask)
+        if packet.completion_signal is not None:
+            record.done.on_fire(packet.completion_signal.fire)
+        state.last_completion = record.done
+        state.consuming = False
+        self._drive(state)
 
     def _process_barrier(
         self, state: _QueueState, packet: BarrierAndPacket

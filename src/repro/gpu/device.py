@@ -40,7 +40,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.gpu.counters import CUKernelCounters
 from repro.gpu.cu_mask import CUMask
@@ -52,7 +52,6 @@ from repro.gpu.exec_model import (
 )
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.power import EnergyMeter, PowerModel
-from repro.gpu.ratevec import VECTOR_MIN as _VECTOR_MIN
 from repro.gpu.topology import GpuTopology
 from repro.sim.engine import Event, Simulator
 from repro.sim.process import Signal
@@ -100,10 +99,6 @@ class KernelRecord:
     seq_no: int = field(default=0, repr=False)
     complete_cb: Optional[Callable[[], None]] = field(
         default=None, repr=False)
-    # Row in the device's vectorised rate arrays (numpy mode only; the
-    # arrays are then authoritative for progress — ``sync_progress``
-    # scatters back into the field).
-    slot: int = field(default=-1, repr=False)
 
 
 class GpuDevice:
@@ -166,12 +161,8 @@ class GpuDevice:
         # commits are deferred — dirty sets accumulate and one recompute
         # runs at the instant boundary (the engine's flush hook), so N
         # same-instant state changes cost one sweep instead of N.
-        # REPRO_NO_DEFER=1 restores the eager per-change commit (the
-        # validation oracle for the batched path); outside run() commits
-        # are always eager, so single-stepped harnesses see consistent
-        # state after every call.
-        self._defer = os.environ.get(
-            "REPRO_NO_DEFER", "").lower() in ("", "0", "false")
+        # Outside run() commits are eager, so single-stepped harnesses
+        # see consistent state after every call.
         self._pending = False
         self._pending_full = False
         self._pending_dirty: set[int] = set()
@@ -180,18 +171,6 @@ class GpuDevice:
         # init pulls in modules that import this one).
         from repro.profiling import simprofile
         self._simprofile = simprofile
-        # Numpy-vectorised rate state (repro.gpu.ratevec): the progress
-        # and effective-latency sweeps run over slot-indexed arrays, with
-        # the scalar formulas below as the bit-identical source of truth.
-        # REPRO_SCALAR_RATES=1 (or numpy being absent) keeps the
-        # pure-python path.
-        self._vec = None
-        if os.environ.get("REPRO_SCALAR_RATES", "").lower() in (
-                "", "0", "false"):
-            from repro.gpu import ratevec
-            if ratevec.HAVE_NUMPY:
-                self._vec = ratevec.RateArrays(
-                    self.topology, self.exec_config)
         # Incremental-recompute state, keyed by per-device launch seq
         # numbers: CU → resident seq numbers, the seq numbers with
         # positive bandwidth demand (the reach of the over-budget
@@ -235,53 +214,75 @@ class GpuDevice:
         Returns the kernel's record; its ``done`` signal fires at
         retirement.  The mask must be non-empty and belong to this device.
         """
-        if mask.topology != self.topology:
+        # Devices share one topology object with every mask they build,
+        # so identity settles the check without the dataclass __eq__.
+        topology = mask.topology
+        if topology is not self.topology and topology != self.topology:
             raise ValueError("mask topology does not match device")
-        if mask.is_empty():
+        if not mask.bits:
             raise ValueError(
                 f"kernel {launch.descriptor.name}: cannot launch on an "
                 "empty CU mask"
             )
+        sim = self.sim
+        now = sim._now
         self._advance_progress()
-        self.counters.tick(self.sim.now)
+        self.counters.tick(now)
         self.counters.assign(mask)
         # Device bookkeeping is keyed by the per-device launch sequence
         # number (not the global launch_id): dirty sets of seq numbers
         # sort back into launch order with a plain C-level int sort.
         seq_no = self._next_seq_no
-        self._next_seq_no += 1
+        self._next_seq_no = seq_no + 1
+        floor, demand, se_shares, occupied = self._launch_invariants(
+            launch.descriptor, mask)
         record = KernelRecord(
             launch=launch,
             mask=mask,
             # Unnamed: per-launch f-string names showed up in profiles
             # and nothing reads them (debuggers can reconstruct the id
             # from the record).
-            done=Signal(self.sim),
-            start_time=self.sim.now,
-            last_update=self.sim.now,
+            done=Signal(sim),
+            start_time=now,
+            last_update=now,
             on_complete=on_complete,
+            floor_latency=floor,
+            demand=demand,
+            se_shares=se_shares,
+            occupied_per_se=occupied,
             seq_no=seq_no,
             complete_cb=partial(self._complete, seq_no),
         )
-        self._cache_invariants(record)
-        if self._vec is not None:
-            record.slot = self._vec.alloc(record)
         old_total = self._total_demand
-        self._total_demand += record.demand
+        self._total_demand = new_total = old_total + demand
         self._running[seq_no] = record
+        # Exact dirty set: every resident sharing a CU with the new
+        # kernel (itself included) ...
         cu_records = self._cu_records
+        dirty: set[int] = set()
         for cu in mask.cu_tuple:
-            cu_records[cu].add(seq_no)
-        if record.demand > 0.0:
+            residents = cu_records[cu]
+            residents.add(seq_no)
+            dirty |= residents
+        if demand > 0.0:
             self._demand_ids.add(seq_no)
-        self._apply_occupied(record.occupied_per_se, 1)
+        # ... plus, when the bandwidth regime moved, every record the
+        # throttle term reaches.
+        fault = self._fault_demand
+        if self._regime_crossed(old_total + fault, new_total + fault):
+            dirty |= self._demand_ids
+        self._apply_occupied(occupied, 1)
         if self.record_trace:
             self.trace.append(record)
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.kernel_launched(record)
-        self._commit_state_change(
-            self._dirty_after_mask_change(mask, old_total))
+        if sim._running:
+            self._pending = True
+            if not self._pending_full:
+                self._pending_dirty |= dirty
+        else:
+            self._commit_now(dirty)
         return record
 
     def busy(self) -> bool:
@@ -304,7 +305,7 @@ class GpuDevice:
         ``meter.energy_joules``.
         """
         self._advance_progress()
-        self.counters.tick(self.sim.now)
+        self.counters.tick(self.sim._now)
         self._commit_meter()
 
     def charge_pool_switch(self, cost_s: float) -> None:
@@ -368,20 +369,23 @@ class GpuDevice:
         self._commit_state_change(dirty)
 
     # -- internals ----------------------------------------------------------
-    def _cache_invariants(self, record: KernelRecord) -> None:
-        """Precompute everything about (kernel, mask) the hot path needs.
+    def _launch_invariants(self, desc, mask: CUMask) -> tuple:
+        """Everything about (kernel, mask) the hot path needs: the
+        isolated-latency floor, the bandwidth demand, the per-SE
+        workgroup shares, and the occupied CUs per SE.
 
         Memoised per (descriptor, mask): a serving trace replays the same
         frozen descriptors, and the allocator converges onto stable
-        partitions, so steady state is nearly all hits.
+        partitions, so steady state is nearly all hits.  Every mask here
+        is on this device's topology, so its bits alone identify it, and
+        an int skips the mask's Python-level ``__hash__``.
         """
-        desc = record.launch.descriptor
-        key = (desc, record.mask)
+        key = (desc, mask.bits)
         cached = self._invariant_cache.get(key)
         if cached is None:
-            floor = isolated_latency(desc, record.mask, self.exec_config)
-            demand = bandwidth_demand(desc, record.mask)
-            per_se = record.mask.per_se_counts()
+            floor = isolated_latency(desc, mask, self.exec_config)
+            demand = bandwidth_demand(desc, mask)
+            per_se = mask.per_se_counts()
             shares = split_workgroups(desc.workgroups, per_se)
             topo = self.topology
             se_shares = []
@@ -389,7 +393,7 @@ class GpuDevice:
             for se, (share, cus) in enumerate(zip(shares, per_se)):
                 if cus == 0:
                     continue
-                se_cus = tuple(cu for cu in record.mask.cu_tuple
+                se_cus = tuple(cu for cu in mask.cu_tuple
                                if topo.se_of(cu) == se)
                 # Precompute share * wg_duration / occupancy: dividing by
                 # the SE's effective capacity yields its shared execution
@@ -402,8 +406,7 @@ class GpuDevice:
                 occupied[se] = min(cus, -(-share // desc.occupancy))
             cached = (floor, demand, tuple(se_shares), tuple(occupied))
             self._invariant_cache[key] = cached
-        (record.floor_latency, record.demand,
-         record.se_shares, record.occupied_per_se) = cached
+        return cached
 
     def _effective_latency(self, record: KernelRecord) -> float:
         """Latency under current residency and bandwidth (fast path)."""
@@ -468,15 +471,11 @@ class GpuDevice:
         # per-record ``last_update`` field while a kernel is resident
         # (the field is refreshed at retirement).
         elapsed = now - last
-        vec = self._vec
-        if vec is not None:
-            vec.advance(elapsed)
-        else:
-            for record in self._running.values():
-                lat = record.eff_latency
-                if lat > 0:
-                    progress = record.progress + elapsed / lat
-                    record.progress = 1.0 if progress > 1.0 else progress
+        for record in self._running.values():
+            lat = record.eff_latency
+            if lat > 0:
+                progress = record.progress + elapsed / lat
+                record.progress = 1.0 if progress > 1.0 else progress
         if profiler is not None:
             profiler.add("progress_advance", perf_counter() - t0)
 
@@ -493,32 +492,20 @@ class GpuDevice:
         budget = self.exec_config.mem_bandwidth_budget
         return old_total > budget or new_total > budget
 
-    def _dirty_after_mask_change(self, mask: CUMask,
-                                 old_total: float) -> set[int]:
-        """Exact dirty set after launching/retiring a kernel on ``mask``."""
-        dirty: set[int] = set()
-        cu_records = self._cu_records
-        for cu in mask.cu_tuple:
-            dirty |= cu_records[cu]
-        fault = self._fault_demand
-        if self._regime_crossed(old_total + fault,
-                                self._total_demand + fault):
-            dirty |= self._demand_ids
-        return dirty
-
     def _commit_state_change(self, dirty: Optional[set[int]] = None) -> None:
-        """Recompute affected rates and reschedule completions.
+        """Commit a fault-driven state change (launch and retire inline
+        the same logic).
 
-        ``dirty=None`` (and ``full_recompute`` mode) sweeps every
-        resident.  While the engine is inside ``run()`` the commit is
-        deferred: dirty sets union up and :meth:`_flush_commit` runs one
-        recompute at the instant boundary.  No simulated time passes
-        within an instant, so the rates recomputed at the boundary from
-        the final state are the exact floats the last eager commit would
-        have produced; the intermediate recomputes the eager path does
-        are overwritten unread.
+        ``dirty=None`` sweeps every resident.  While the engine is inside
+        ``run()`` the commit is deferred: dirty sets union up and
+        :meth:`_flush_commit` runs one recompute at the instant boundary.
+        No simulated time passes within an instant, so the rates
+        recomputed at the boundary from the final state are the exact
+        floats the last eager commit would have produced; the
+        intermediate recomputes the eager path does are overwritten
+        unread.
         """
-        if self._defer and self.sim._running:
+        if self.sim._running:
             self._pending = True
             if dirty is None:
                 self._pending_full = True
@@ -551,7 +538,8 @@ class GpuDevice:
         resident.  A dirty set is replayed in launch order — the same
         relative order the full sweep visits — so both paths issue the
         identical sequence of ``schedule`` calls and the event seq
-        numbers (the deterministic tie-breakers) coincide.
+        numbers (the deterministic tie-breakers) coincide.  A record
+        whose rate did not change keeps its scheduled completion.
         """
         profiler = self._simprofile._ACTIVE
         if profiler is not None:
@@ -564,70 +552,24 @@ class GpuDevice:
         # incremental path's win on the colo4/maskgen bench shapes was
         # negative at ~90% dirty).  Both paths visit the same records in
         # the same relative order, so the switch is bit-identical.
-        if dirty is None or self.full_recompute \
-                or (len(dirty) * 2 >= len(running)
-                    and not self._force_incremental):
-            self._recompute_rates(running.values())
+        if dirty is None or self.full_recompute:
+            records = running.values()
+        elif not dirty:
+            records = ()
+        elif (len(dirty) * 2 >= len(running)
+                and not self._force_incremental):
+            records = running.values()
+        elif len(dirty) == 1:
+            # Singletons (the common case for isolated launches) skip
+            # the sort machinery.
+            records = (running[next(iter(dirty))],)
         else:
-            # Dirty entries are per-device seq numbers, so a plain int
-            # sort replays them in launch order — the same relative
-            # order the full sweep visits.  Singletons (the common case
-            # for isolated launches) skip the sort machinery.
-            if len(dirty) == 1:
-                self._recompute_rates((running[next(iter(dirty))],))
-            else:
-                self._recompute_rates(
-                    map(running.__getitem__, sorted(dirty)))
-        self._commit_meter()
-        if profiler is not None:
-            profiler.add("rate_recompute", perf_counter() - t0)
-
-    def _apply_occupied(self, per_se: tuple[int, ...], sign: int) -> None:
-        """Fold one record's occupied-CU shape into the meter aggregates.
-
-        All integer arithmetic, so the maintained ``busy``/``active SE``
-        totals are exactly what a rescan of the resident set computes.
-        """
-        occupied = self._occupied_per_se
-        cap = self.topology.cus_per_se
-        for se, n in enumerate(per_se):
-            if n == 0:
-                continue
-            old = occupied[se]
-            new = old + n if sign > 0 else old - n
-            occupied[se] = new
-            self._busy_cus += ((new if new < cap else cap)
-                               - (old if old < cap else cap))
-            self._active_ses += (new > 0) - (old > 0)
-
-    def _commit_meter(self) -> None:
-        # Power follows *occupied* CUs (those actually holding workgroups),
-        # capped at each SE's physical size when kernels overlap.  The
-        # busy/active-SE totals are maintained incrementally on
-        # launch/retire (integer arithmetic, so they are exact);
-        # full-recompute mode keeps the original resident-set rescan as
-        # the oracle.
-        if self.full_recompute:
-            topo = self.topology
-            occupied = [0] * topo.num_se
-            for record in self._running.values():
-                for se, n in enumerate(record.occupied_per_se):
-                    occupied[se] += n
-            busy = sum(min(n, topo.cus_per_se) for n in occupied)
-            active_ses = sum(1 for n in occupied if n > 0)
-        else:
-            busy = self._busy_cus
-            active_ses = self._active_ses
-        self.meter.advance(self.sim.now, busy, active_ses)
-
-    def _recompute_rates(self, records: Iterable[KernelRecord]) -> None:
-        vec = self._vec
-        if vec is not None:
-            self._recompute_rates_vec(records)
-            return
+            # Per-device seq numbers: a plain int sort replays them in
+            # launch order.
+            records = map(running.__getitem__, sorted(dirty))
         effective_latency = self._effective_latency
         schedule = self.sim.schedule
-        now = self.sim.now
+        now = self.sim._now
         for record in records:
             latency = effective_latency(record)
             event = record.completion_event
@@ -641,69 +583,60 @@ class GpuDevice:
             # ``now + delay`` is the exact float schedule_in computes.
             delay = 0.0 if remaining <= _PROGRESS_EPS else remaining * latency
             record.completion_event = schedule(now + delay, record.complete_cb)
+        # Power follows *occupied* CUs (those actually holding
+        # workgroups), capped at each SE's physical size when kernels
+        # overlap; the busy/active-SE totals are maintained incrementally
+        # on launch/retire.
+        if self.full_recompute:
+            self._commit_meter()
+        else:
+            self.meter.advance(now, self._busy_cus, self._active_ses)
+        if profiler is not None:
+            profiler.add("rate_recompute", perf_counter() - t0)
 
-    def _recompute_rates_vec(self, records: Iterable[KernelRecord]) -> None:
-        """Numpy-mode recompute: array progress, optional vector sweep.
+    def _apply_occupied(self, per_se: tuple[int, ...], sign: int) -> None:
+        """Fold one record's occupied-CU shape into the meter aggregates,
+        adding for ``sign=1`` and removing for ``sign=-1``.
 
-        Small batches use the scalar latency formula per record (the
-        vector sweep's fixed cost loses below ~16 records); large ones
-        compute every slot's latency in one array pass.  Both read
-        progress from the authoritative array and schedule completions
-        in the records' iteration order, exactly like the scalar path.
-        Fault latency scales stay on the scalar formula — the vector
-        sweep does not model them.
+        All integer arithmetic, so the maintained ``busy``/``active SE``
+        totals are exactly what a rescan of the resident set computes.
         """
-        vec = self._vec
-        records = records if isinstance(records, list) else list(records)
-        latencies = None
-        if len(records) >= _VECTOR_MIN and self._fault_scale == 1.0 \
-                and not self._fault_tag_scale:
-            total_demand = self._total_demand
-            if self._fault_demand > 0.0:
-                total_demand = total_demand + self._fault_demand
-            latencies = vec.latencies(self._residents, total_demand)
-        effective_latency = self._effective_latency
-        schedule = self.sim.schedule
-        now = self.sim._now
-        progress_arr = vec.progress
-        lat_arr = vec.lat
-        for record in records:
-            if latencies is not None:
-                latency = latencies[record.slot]
-            else:
-                latency = effective_latency(record)
-            event = record.completion_event
-            if event is not None:
-                if not event.cancelled and latency == record.eff_latency:
-                    continue  # rate unchanged; completion still valid
-                event.cancel()
-            record.eff_latency = latency
-            lat_arr[record.slot] = latency
-            # ``item()`` returns a builtin float: numpy scalars must not
-            # leak into event times (their repr would poison the
-            # canonical result JSON downstream).
-            remaining = 1.0 - progress_arr.item(record.slot)
-            # Inlined schedule_in: delay is >= 0 by construction and
-            # ``now + delay`` is the exact float schedule_in computes.
-            delay = 0.0 if remaining <= _PROGRESS_EPS else remaining * latency
-            record.completion_event = schedule(now + delay, record.complete_cb)
+        occupied = self._occupied_per_se
+        cap = self.topology.cus_per_se
+        busy = self._busy_cus
+        active = self._active_ses
+        for se, n in enumerate(per_se):
+            if not n:
+                continue
+            old = occupied[se]
+            occupied[se] = new = old + sign * n
+            busy += ((new if new < cap else cap)
+                     - (old if old < cap else cap))
+            active += (new > 0) - (old > 0)
+        self._busy_cus = busy
+        self._active_ses = active
 
-    def sync_progress(self) -> None:
-        """Scatter array-authoritative progress back into the records.
-
-        In numpy mode the slot arrays hold the live progress values;
-        call this before reading ``KernelRecord.progress`` directly
-        (audits, tests, snapshots).  No-op in scalar mode.
-        """
-        vec = self._vec
-        if vec is None:
-            return
-        progress = vec.progress
+    def _occupied_rescan(self) -> tuple[list[int], int, int]:
+        """Occupied CUs per SE, busy CUs and active SEs, rescanned from
+        the resident set (the oracle for the maintained aggregates)."""
+        topo = self.topology
+        occupied = [0] * topo.num_se
         for record in self._running.values():
-            value = progress.item(record.slot)
-            # The arrays defer the scalar path's 1.0 clamp (see
-            # RateArrays.advance); apply it on the way out.
-            record.progress = 1.0 if value > 1.0 else value
+            for se, n in enumerate(record.occupied_per_se):
+                occupied[se] += n
+        busy = sum(min(n, topo.cus_per_se) for n in occupied)
+        active_ses = sum(1 for n in occupied if n > 0)
+        return occupied, busy, active_ses
+
+    def _commit_meter(self) -> None:
+        """Advance the energy meter; full-recompute mode rescans the
+        resident set instead of trusting the maintained aggregates."""
+        if self.full_recompute:
+            _, busy, active_ses = self._occupied_rescan()
+        else:
+            busy = self._busy_cus
+            active_ses = self._active_ses
+        self.meter.advance(self.sim._now, busy, active_ses)
 
     def check_rate_invariant(self) -> None:
         """Assert every resident's cached rate matches a fresh recompute.
@@ -742,7 +675,6 @@ class GpuDevice:
         violations: list[str] = []
         running = self._running
         topo = self.topology
-        self.sync_progress()
 
         # Pool-switch ledger: monotone non-negative, and cost implies
         # at least one switch.
@@ -785,16 +717,11 @@ class GpuDevice:
         violations.extend(self.counters.audit())
 
         # Meter aggregates: occupied-CU shape of the resident set.
-        occupied = [0] * topo.num_se
-        for rec in running.values():
-            for se, n in enumerate(rec.occupied_per_se):
-                occupied[se] += n
+        occupied, busy, active = self._occupied_rescan()
         if occupied != self._occupied_per_se:
             violations.append(
                 f"device: occupied-per-SE aggregate "
                 f"{self._occupied_per_se} != rescan {occupied}")
-        busy = sum(min(n, topo.cus_per_se) for n in occupied)
-        active = sum(1 for n in occupied if n > 0)
         if busy != self._busy_cus:
             violations.append(
                 f"device: busy-CU aggregate {self._busy_cus} != "
@@ -846,34 +773,47 @@ class GpuDevice:
         return violations
 
     def _complete(self, seq_no: int) -> None:
-        record = self._running.get(seq_no)
+        record = self._running.pop(seq_no, None)
         if record is None:
             return
+        sim = self.sim
+        now = sim._now
         self._advance_progress()
-        if self._vec is not None:
-            self._vec.free(record.slot)
-            record.slot = -1
         record.progress = 1.0
-        record.last_update = self.sim.now
-        record.end_time = self.sim.now
-        del self._running[seq_no]
-        self.work_cu_seconds += (
-            record.mask.count() * (record.end_time - record.start_time))
-        self.counters.tick(self.sim.now)
-        self.counters.release(record.mask)
+        record.last_update = now
+        record.end_time = now
+        mask = record.mask
+        cu_tuple = mask.cu_tuple
+        self.work_cu_seconds += len(cu_tuple) * (now - record.start_time)
+        self.counters.tick(now)
+        self.counters.release(mask)
+        # Exact dirty set: the residents left on the freed CUs ...
         cu_records = self._cu_records
-        for cu in record.mask.cu_tuple:
-            cu_records[cu].discard(seq_no)
+        dirty: set[int] = set()
+        for cu in cu_tuple:
+            residents = cu_records[cu]
+            residents.discard(seq_no)
+            dirty |= residents
         self._demand_ids.discard(seq_no)
         self._apply_occupied(record.occupied_per_se, -1)
         old_total = self._total_demand
-        self._total_demand -= record.demand
-        if not self._running:
-            self._total_demand = 0.0  # absorb float drift at idle points
-        self._commit_state_change(
-            self._dirty_after_mask_change(record.mask, old_total))
+        if self._running:
+            self._total_demand = new_total = old_total - record.demand
+        else:
+            # Absorb float drift at idle points.
+            self._total_demand = new_total = 0.0
+        # ... plus the throttle term's reach when the regime moved.
+        fault = self._fault_demand
+        if self._regime_crossed(old_total + fault, new_total + fault):
+            dirty |= self._demand_ids
+        if sim._running:
+            self._pending = True
+            if not self._pending_full:
+                self._pending_dirty |= dirty
+        else:
+            self._commit_now(dirty)
         self.kernels_completed += 1
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.kernel_retired(record)
         if record.on_complete is not None:

@@ -124,7 +124,7 @@ class KernelLaunch:
 
     descriptor: KernelDescriptor
     requested_cus: Optional[int] = None
-    launch_id: int = field(default_factory=lambda: next(_launch_ids))
+    launch_id: int = field(default_factory=_launch_ids.__next__)
     tag: str = ""
 
     def __post_init__(self) -> None:

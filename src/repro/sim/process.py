@@ -12,6 +12,7 @@ callback-style consumers.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional, Union
 
 from repro.sim.engine import Simulator
@@ -28,6 +29,10 @@ class Signal:
     waiter exactly once, and late waiters resume immediately.
     """
 
+    # Two signals are created per kernel launch (the record's and the
+    # stream's), so attribute slots keep construction cheap.
+    __slots__ = ("_sim", "name", "fired", "value", "_waiters")
+
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self._sim = sim
         self.name = name
@@ -42,15 +47,18 @@ class Signal:
         self.fired = True
         self.value = value
         waiters, self._waiters = self._waiters, []
+        sim = self._sim
         for waiter in waiters:
             # Waiters run as fresh events so firing inside an event handler
             # does not grow the Python stack unboundedly.
-            self._sim.schedule(self._sim.now, lambda w=waiter: w(value))
+            sim.schedule(sim._now, partial(waiter, value))
 
     def on_fire(self, callback: Callable[[Any], None]) -> None:
         """Invoke ``callback(value)`` when (or if already) fired."""
         if self.fired:
-            self._sim.schedule(self._sim.now, lambda: callback(self.value))
+            # A fired signal's value is final, so binding it now is the
+            # same as reading it when the event runs.
+            self._sim.schedule(self._sim._now, partial(callback, self.value))
         else:
             self._waiters.append(callback)
 
@@ -78,7 +86,7 @@ class Process:
         self._gen = generator
         self.name = name
         self.done = Signal(sim, name=f"{name}.done")
-        sim.schedule(sim.now, lambda: self._advance(None))
+        sim.schedule(sim.now, partial(self._advance, None))
 
     def _advance(self, send_value: Any) -> None:
         try:
@@ -89,7 +97,7 @@ class Process:
         if isinstance(yielded, Signal):
             yielded.on_fire(self._advance)
         elif isinstance(yielded, (int, float)):
-            self._sim.schedule_in(float(yielded), lambda: self._advance(None))
+            self._sim.schedule_in(float(yielded), partial(self._advance, None))
         else:
             raise TypeError(
                 f"process {self.name!r} yielded {yielded!r}; expected a "

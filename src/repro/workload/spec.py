@@ -322,7 +322,12 @@ _SPEC_KINDS: dict[str, type] = {
 
 def workload_from_dict(payload: dict[str, Any]) -> WorkloadSpec:
     """Build any workload-spec kind from its dict form."""
-    kind = payload.get("kind")
+    if not isinstance(payload, dict):
+        raise ValueError("workload spec document must be a mapping")
+    if "kind" not in payload:
+        raise ValueError("workload spec has no 'kind' key; expected one "
+                         f"of {sorted(_SPEC_KINDS)}")
+    kind = payload["kind"]
     if kind not in _SPEC_KINDS:
         raise ValueError(f"unknown workload-spec kind {kind!r}; "
                          f"expected one of {sorted(_SPEC_KINDS)}")
@@ -354,10 +359,7 @@ def workload_to_yaml(spec: WorkloadSpec) -> str:
 
 def workload_from_yaml(text: str) -> WorkloadSpec:
     """Parse a YAML workload spec document."""
-    payload = _yaml().safe_load(text)
-    if not isinstance(payload, dict):
-        raise ValueError("workload spec document must be a mapping")
-    return workload_from_dict(payload)
+    return workload_from_dict(_yaml().safe_load(text))
 
 
 def load_workload(path) -> WorkloadSpec:

@@ -96,6 +96,47 @@ def test_max_events_limit():
     assert sim.events_executed == 3
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_non_positive_max_events_runs_nothing(budget):
+    sim = Simulator()
+    ran = []
+    sim.schedule(1.0, lambda: ran.append(1))
+    sim.schedule(2.0, lambda: ran.append(2))
+    assert sim.run(until=5.0, max_events=budget) == 0.0
+    assert ran == []
+    assert sim.events_executed == 0
+    assert sim.pending() == 2
+
+
+def test_profiled_loop_honours_the_event_budget():
+    from repro.profiling import simprofile
+
+    sim = Simulator()
+    for i in range(5):
+        sim.schedule(float(i + 1), lambda: None)
+    simprofile.activate()
+    try:
+        sim.run(max_events=0)
+        assert sim.events_executed == 0
+        sim.run(max_events=2)
+    finally:
+        simprofile.deactivate()
+    assert sim.events_executed == 2
+    assert sim.now == 2.0
+
+
+def test_event_budget_does_not_jump_the_clock_past_pending_events():
+    sim = Simulator()
+    for i in range(3):
+        sim.schedule(float(i + 1), lambda: None)
+    assert sim.run(until=10.0, max_events=1) == 1.0
+    assert sim.peek() == 2.0
+    # A budget that happens to drain everything up to ``until`` still
+    # advances the clock there.
+    assert sim.run(until=10.0, max_events=2) == 10.0
+    assert sim.events_executed == 3
+
+
 def test_peek_skips_cancelled():
     sim = Simulator()
     e1 = sim.schedule(1.0, lambda: None)
@@ -131,9 +172,7 @@ def test_cancel_after_execution_does_not_corrupt_the_counter():
 
 
 def test_compaction_drops_dead_entries_and_preserves_order():
-    # Heap internals: pin the queue so REPRO_SIM_QUEUE=calendar runs of
-    # the suite still exercise (and assert on) the binary heap.
-    sim = Simulator(queue="heap")
+    sim = Simulator()
     order = []
     events = []
     for i in range(Simulator.COMPACT_MIN + 200):
@@ -157,8 +196,7 @@ def test_compaction_drops_dead_entries_and_preserves_order():
 
 
 def test_small_heaps_are_never_compacted():
-    # Heap internals: pin the queue (see above).
-    sim = Simulator(queue="heap")
+    sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
     for event in events:
         event.cancel()

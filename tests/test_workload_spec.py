@@ -94,6 +94,23 @@ def test_unknown_spec_kind_is_rejected():
         workload_from_dict({"kind": "quantum"})
 
 
+def test_spec_without_kind_names_the_missing_key(tmp_path):
+    expected = ("workload spec has no 'kind' key; expected one of "
+                r"\['heterogeneous', 'homogeneous', 'trace'\]")
+    with pytest.raises(ValueError, match=expected):
+        workload_from_dict({"models": ["squeezenet"]})
+    path = tmp_path / "spec.json"
+    path.write_text('{"models": ["squeezenet"]}')
+    with pytest.raises(ValueError, match=expected):
+        load_workload(path)
+
+
+@pytest.mark.parametrize("payload", [[], "trace", None])
+def test_non_mapping_spec_is_rejected(payload):
+    with pytest.raises(ValueError, match="must be a mapping"):
+        workload_from_dict(payload)
+
+
 # -- spec semantics ----------------------------------------------------------
 
 def test_offered_rps_scales_requests_not_batches():
