@@ -58,6 +58,55 @@ from repro.server.rate_experiment import run_rate_experiment
 __all__ = ["main"]
 
 
+class InputError(Exception):
+    """Bad user input (a missing file, an out-of-range value).
+
+    :func:`main` prints it as one line and exits 2, argparse's usage
+    code, so a caller can tell a typo from a violated law (exit 1).
+    """
+
+
+def _load_spec(path: str):
+    """The workload spec at ``path``; an unreadable or malformed file is
+    an :class:`InputError`."""
+    from repro.workload import load_workload
+
+    try:
+        return load_workload(path)
+    except OSError as exc:
+        raise InputError(f"cannot read workload spec {path!r}: "
+                         f"{exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InputError(f"invalid workload spec {path!r}: {exc}") from None
+
+
+def _check_positive(args: argparse.Namespace, *flags: str) -> None:
+    """Every value given for each of ``flags`` must be > 0."""
+    for flag in flags:
+        value = getattr(args, flag)
+        values = value if isinstance(value, list) else [value]
+        bad = [v for v in values if v is not None and not v > 0]
+        if bad:
+            raise InputError(f"--{flag} must be > 0, got "
+                             + " ".join(f"{v:g}" for v in bad))
+
+
+def _guard(args: argparse.Namespace):
+    """The ``--deadline``/``--admission`` guard rails, or ``None``; an
+    out-of-range value is an :class:`InputError`."""
+    if args.deadline is None and args.admission is None:
+        return None
+    from repro.server.slo import SloGuard
+
+    try:
+        return SloGuard(
+            deadline=(args.deadline * 1e-3 if args.deadline is not None
+                      else None),
+            admission_depth=args.admission)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _positive_int(value: str) -> int:
     count = int(value)
     if count < 1:
@@ -163,23 +212,16 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro.exp.load import run_load_curve
     from repro.exp.sweep import default_jobs
-    from repro.server.slo import SloGuard
-    from repro.workload import load_workload
 
-    spec = load_workload(args.spec)
+    _check_positive(args, "rates", "scales", "duration")
+    guard = _guard(args)
+    spec = _load_spec(args.spec)
     models = tuple(spec.models())
     names = models * args.workers if len(models) == 1 \
         else tuple(m for m in models for _ in range(args.workers))
     config = ExperimentConfig(
         model_names=names, policy=args.policy,
         batch_size=spec.request_batch_size(), seed=args.seed)
-
-    guard = None
-    if args.deadline is not None or args.admission is not None:
-        guard = SloGuard(
-            deadline=(args.deadline * 1e-3 if args.deadline is not None
-                      else None),
-            admission_depth=args.admission)
 
     def progress(done: int, total: int, label: str) -> None:
         print(f"\r[{done}/{total}] {label:<32}", end="", file=sys.stderr,
@@ -810,22 +852,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.cluster import AutoscalerConfig, ClusterConfig, run_fleet
     from repro.exp.sweep import default_jobs
-    from repro.workload import load_workload
 
-    spec = load_workload(args.spec)
+    _check_positive(args, "rates", "scales", "duration")
+    guard = _guard(args)
+    spec = _load_spec(args.spec)
     models = tuple(spec.models())
     base = ClusterConfig(
         devices=args.devices[0], model_names=models, policy=args.policy,
         batch_size=spec.request_batch_size(), seed=args.seed,
         router=args.router, pool_size=args.pool, pool_min=args.pool_min)
-
-    guard = None
-    if args.deadline is not None or args.admission is not None:
-        from repro.server.slo import SloGuard
-        guard = SloGuard(
-            deadline=(args.deadline * 1e-3 if args.deadline is not None
-                      else None),
-            admission_depth=args.admission)
 
     faults = None
     if args.crash_node is not None:
@@ -1176,7 +1211,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"krisp-repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

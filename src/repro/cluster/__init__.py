@@ -25,6 +25,7 @@ from repro.cluster.experiment import (
     NodeStats,
     cached_run_cluster_experiment,
     cluster_cache_key,
+    cluster_inputs,
     cluster_result_hash,
     default_cluster_cache,
     run_cluster_experiment,
@@ -53,6 +54,7 @@ __all__ = [
     "ScaleEvent",
     "cached_run_cluster_experiment",
     "cluster_cache_key",
+    "cluster_inputs",
     "cluster_result_hash",
     "default_cluster_cache",
     "run_cluster_experiment",

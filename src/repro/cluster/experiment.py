@@ -11,24 +11,20 @@ autoscaler event log, and a request-conservation audit
 (``issued == completed + shed + residue + in flight + in transit`` —
 the fleet generalisation of :mod:`repro.check.invariants`).
 
-It is an *options-first* API: harness knobs arrive in one
-:class:`~repro.server.options.RunOptions` (there are no legacy keyword
-shims to deprecate — the fleet surface was born after the
-consolidation).  Results are cached content-addressed under
-``<cache>/cluster/`` via :func:`cluster_cache_key`, which folds the
-cluster topology and autoscaler config into the open-loop key
-:func:`~repro.exp.cache.rate_cache_key` **only-when-given** — so every
+Harness knobs arrive in one :class:`~repro.server.options.RunOptions`,
+as on every runner.  Results are cached content-addressed under
+``<cache>/cluster/`` by :class:`ClusterResultCache`, one kind of the
+shared :class:`~repro.exp.cache.ResultStore`; its key
+(:func:`cluster_cache_key`) folds the cluster topology and autoscaler
+config into the open-loop key inputs **only-when-given** — so every
 pre-existing single-device cache entry is untouched by the fleet layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.cluster.autoscaler import PoolAutoscaler, ScaleEvent
@@ -36,15 +32,7 @@ from repro.cluster.config import AutoscalerConfig, ClusterConfig
 from repro.cluster.faults import ClusterFaultDriver
 from repro.cluster.router import ClusterRouter, FleetClient
 from repro.cluster.setup import ClusterSetup
-from repro.exp.cache import (
-    CacheStats,
-    _atomic_write_text,
-    cache_root,
-    fingerprint,
-    locate_entry,
-    rate_cache_key,
-    sharded_entry_path,
-)
+from repro.exp.cache import ResultStore, canonical_digest, rate_inputs
 from repro.server.metrics import LatencyStats
 from repro.server.options import RunOptions, reject_unsupported
 from repro.workload.spec import WorkloadSpec
@@ -56,6 +44,7 @@ __all__ = [
     "NodeStats",
     "cached_run_cluster_experiment",
     "cluster_cache_key",
+    "cluster_inputs",
     "cluster_result_hash",
     "default_cluster_cache",
     "run_cluster_experiment",
@@ -167,9 +156,7 @@ class ClusterResult:
 def cluster_result_hash(result: ClusterResult) -> str:
     """Content hash of one result's canonical JSON payload (floats
     survive bit-exactly, so two runs hash equally iff bit-identical)."""
-    canonical = json.dumps(result.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(result.to_dict())
 
 
 def run_cluster_experiment(
@@ -289,6 +276,22 @@ def run_cluster_experiment(
 
 # -- caching -----------------------------------------------------------------
 
+def cluster_inputs(config: ClusterConfig, offered_rps: float,
+                   duration: float,
+                   workload: Optional[WorkloadSpec] = None,
+                   autoscaler: Optional[AutoscalerConfig] = None,
+                   faults=None, guard=None) -> dict[str, Any]:
+    """The key input payload of one fleet run (see
+    :func:`cluster_cache_key`)."""
+    cluster_payload: dict[str, Any] = {"cluster": config.to_dict()}
+    if autoscaler is not None:
+        cluster_payload["autoscaler"] = autoscaler.to_dict()
+    return rate_inputs(
+        config.node_config(), offered_rps, duration,
+        workload=workload, faults=faults, guard=guard,
+        cluster=cluster_payload)
+
+
 def cluster_cache_key(config: ClusterConfig, offered_rps: float,
                       duration: float,
                       workload: Optional[WorkloadSpec] = None,
@@ -296,76 +299,23 @@ def cluster_cache_key(config: ClusterConfig, offered_rps: float,
                       faults=None, guard=None) -> str:
     """Stable content hash of one fleet run's inputs.
 
-    Delegates to :func:`~repro.exp.cache.rate_cache_key` over the
+    The open-loop key (:func:`~repro.exp.cache.rate_cache_key`) over the
     per-node config, folding the cluster topology (and autoscaler, when
     enabled) through its only-when-given ``cluster=`` slot — the same
     convention that keeps fault-free single-device keys stable.
     """
-    cluster_payload: dict[str, Any] = {"cluster": config.to_dict()}
-    if autoscaler is not None:
-        cluster_payload["autoscaler"] = autoscaler.to_dict()
-    return rate_cache_key(
-        config.node_config(), offered_rps, duration,
-        workload=workload, faults=faults, guard=guard,
-        cluster=cluster_payload)
+    return canonical_digest(cluster_inputs(
+        config, offered_rps, duration, workload=workload,
+        autoscaler=autoscaler, faults=faults, guard=guard))
 
 
-class ClusterResultCache:
-    """Content-addressed store of fleet results under ``<root>/cluster/``."""
+class ClusterResultCache(ResultStore):
+    """Fleet results under ``<root>/cluster/``, addressed by
+    :func:`cluster_inputs`."""
 
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self._root = root
-        self.stats = CacheStats()
-
-    def root(self) -> Path:
-        return self._root if self._root is not None else cache_root()
-
-    def path_for(self, key: str) -> Path:
-        return sharded_entry_path(self.root() / "cluster", key)
-
-    def get(self, key: str) -> Optional[ClusterResult]:
-        path = locate_entry(self.root() / "cluster", key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not an object")
-            result = ClusterResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            logger.warning("discarding corrupt cluster cache entry %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return result
-
-    def put(self, key: str, result: ClusterResult,
-            context: Optional[dict[str, Any]] = None) -> None:
-        payload: dict[str, Any] = {
-            "constants": fingerprint(),
-            "result": result.to_dict(),
-        }
-        if context:
-            payload.update(context)
-        try:
-            _atomic_write_text(
-                self.path_for(key),
-                json.dumps(payload, indent=2, sort_keys=True))
-            self.stats.stores += 1
-        except OSError:
-            pass
+    kind = "cluster"
+    encode = staticmethod(ClusterResult.to_dict)
+    decode = staticmethod(ClusterResult.from_dict)
 
 
 _DEFAULT_CLUSTER_CACHE = ClusterResultCache()
@@ -391,27 +341,10 @@ def cached_run_cluster_experiment(
     if duration is None:
         duration = DEFAULT_FLEET_DURATION
     spec = workload if offered_rps is None else workload.at_rate(offered_rps)
-    offered = spec.offered_rps()
     store = cache if cache is not None else default_cluster_cache()
-    key = cluster_cache_key(config, offered, duration, workload=spec,
-                            autoscaler=autoscaler, faults=faults,
-                            guard=guard)
-    result = store.get(key)
-    if result is None:
-        result = run_cluster_experiment(
+    return store.get_or_run(
+        lambda: run_cluster_experiment(
             config, spec, duration=duration, autoscaler=autoscaler,
-            options=RunOptions(faults=faults, guard=guard))
-        context: dict[str, Any] = {
-            "cluster": config.to_dict(),
-            "offered_rps": offered,
-            "duration": duration,
-            "workload": spec.to_dict(),
-        }
-        if autoscaler is not None:
-            context["autoscaler"] = autoscaler.to_dict()
-        if faults is not None:
-            context["faults"] = faults.to_dict()
-        if guard is not None:
-            context["guard"] = guard.to_dict()
-        store.put(key, result, context=context)
-    return result
+            options=RunOptions(faults=faults, guard=guard)),
+        cluster_inputs(config, spec.offered_rps(), duration, workload=spec,
+                       autoscaler=autoscaler, faults=faults, guard=guard))

@@ -7,7 +7,8 @@ cell plus a per-(devices, policy) capacity knee.  Cells are pure
 functions of their inputs, so the grid parallelises across a process
 pool exactly like :func:`~repro.exp.sweep.run_sweep` — serial and
 pooled execution assemble bit-identical reports — and caches through
-the content-addressed cluster store.
+the content-addressed cluster store, read and written in the calling
+process only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.cluster.config import AutoscalerConfig, ClusterConfig
 from repro.cluster.experiment import (
     ClusterResult,
     ClusterResultCache,
-    cached_run_cluster_experiment,
+    cluster_inputs,
     default_cluster_cache,
     run_cluster_experiment,
 )
@@ -160,15 +161,14 @@ def _run_cell(base_payload: dict, workload_payload: dict, devices: int,
               router: str, offered_rps: float, duration: float,
               autoscaler_payload: Optional[dict],
               faults_payload: Optional[dict],
-              guard_payload: Optional[dict], use_cache: bool):
+              guard_payload: Optional[dict]):
     """One pooled fleet cell; exceptions cross the pool as strings."""
     try:
         from repro.faults.schedule import FaultSchedule
         from repro.server.slo import SloGuard
 
-        base = ClusterConfig.from_dict(base_payload)
         config = ClusterConfig.from_dict(
-            {**base.to_dict(), "devices": devices, "router": router})
+            {**base_payload, "devices": devices, "router": router})
         workload = workload_from_dict(workload_payload)
         autoscaler = (AutoscalerConfig.from_dict(autoscaler_payload)
                       if autoscaler_payload is not None else None)
@@ -176,16 +176,10 @@ def _run_cell(base_payload: dict, workload_payload: dict, devices: int,
                   if faults_payload is not None else None)
         guard = (SloGuard.from_dict(guard_payload)
                  if guard_payload is not None else None)
-        if use_cache:
-            result = cached_run_cluster_experiment(
-                config, workload, offered_rps=offered_rps,
-                duration=duration, autoscaler=autoscaler,
-                faults=faults, guard=guard)
-        else:
-            result = run_cluster_experiment(
-                config, workload.at_rate(offered_rps), duration=duration,
-                autoscaler=autoscaler,
-                options=RunOptions(faults=faults, guard=guard))
+        result = run_cluster_experiment(
+            config, workload.at_rate(offered_rps), duration=duration,
+            autoscaler=autoscaler,
+            options=RunOptions(faults=faults, guard=guard))
         return devices, router, offered_rps, result, None
     except Exception as exc:  # noqa: BLE001 - report, don't hang the pool
         return devices, router, offered_rps, None, f"{type(exc).__name__}: {exc}"
@@ -214,6 +208,12 @@ def run_fleet(
     native offered rate.  ``faults`` (NodeCrash-only) and ``guard``
     apply to every cell.  Grid order (devices-major, router, then rate)
     is the report's cell order regardless of pool scheduling.
+
+    Every cache read and write happens in this process, against
+    ``cache`` (default: the process-wide cluster store), so
+    ``report.cache_hits`` counts hits whatever ``jobs`` is; ``jobs > 1``
+    fans only the misses out over a process pool.  ``use_cache=False``
+    neither reads nor writes the store.
     """
     from repro.cluster.experiment import DEFAULT_FLEET_DURATION
 
@@ -223,61 +223,68 @@ def run_fleet(
     native = workload.offered_rps()
     grid = [(d, p, native * s)
             for d in devices for p in policies for s in scales]
-    store = cache if cache is not None else default_cluster_cache()
-    hits_before = store.stats.hits if use_cache else 0
+    store = (cache if cache is not None else default_cluster_cache()) \
+        if use_cache else None
+    base_payload = base.to_dict()
+
+    def cell_config(d: int, p: str) -> ClusterConfig:
+        return ClusterConfig.from_dict(
+            {**base_payload, "devices": d, "router": p})
 
     results: dict[tuple[int, str, float], ClusterResult] = {}
-    done = 0
+    inputs: dict[tuple[int, str, float], dict] = {}
+    if store is not None:
+        for d, p, rate in grid:
+            spec = workload.at_rate(rate)
+            inputs[(d, p, rate)] = cluster_inputs(
+                cell_config(d, p), spec.offered_rps(), duration,
+                workload=spec, autoscaler=autoscaler, faults=faults,
+                guard=guard)
+            hit = store.get(inputs[(d, p, rate)])
+            if hit is not None:
+                results[(d, p, rate)] = hit
+    hits = done = len(results)
     if progress:
-        progress(0, len(grid))
+        progress(done, len(grid))
 
     def record(key, result, error):
         nonlocal done
         if error is not None:
             raise RuntimeError(f"fleet cell {key} failed: {error}")
         results[key] = result
+        if store is not None:
+            store.put(inputs[key], result)
         done += 1
         if progress:
             progress(done, len(grid))
 
-    base_payload = base.to_dict()
-    workload_payload = workload.to_dict()
-    autoscaler_payload = autoscaler.to_dict() if autoscaler is not None \
-        else None
-    faults_payload = faults.to_dict() if faults is not None else None
-    guard_payload = guard.to_dict() if guard is not None else None
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    todo = [cell for cell in grid if cell not in results]
+    if jobs > 1 and len(todo) > 1:
+        workload_payload = workload.to_dict()
+        autoscaler_payload = autoscaler.to_dict() \
+            if autoscaler is not None else None
+        faults_payload = faults.to_dict() if faults is not None else None
+        guard_payload = guard.to_dict() if guard is not None else None
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             futures = [
                 pool.submit(_run_cell, base_payload, workload_payload,
                             d, p, rate, duration, autoscaler_payload,
-                            faults_payload, guard_payload, use_cache)
-                for d, p, rate in grid
+                            faults_payload, guard_payload)
+                for d, p, rate in todo
             ]
             for future in futures:
                 d, p, rate, result, error = future.result()
                 record((d, p, rate), result, error)
     else:
-        for d, p, rate in grid:
-            config = ClusterConfig.from_dict(
-                {**base_payload, "devices": d, "router": p})
-            if use_cache:
-                result = cached_run_cluster_experiment(
-                    config, workload, offered_rps=rate, duration=duration,
-                    autoscaler=autoscaler, faults=faults, guard=guard,
-                    cache=store)
-            else:
-                result = run_cluster_experiment(
-                    config, workload.at_rate(rate), duration=duration,
-                    autoscaler=autoscaler,
-                    options=RunOptions(faults=faults, guard=guard))
+        for d, p, rate in todo:
+            result = run_cluster_experiment(
+                cell_config(d, p), workload.at_rate(rate),
+                duration=duration, autoscaler=autoscaler,
+                options=RunOptions(faults=faults, guard=guard))
             record((d, p, rate), result, None)
 
     cells = tuple(FleetCell(devices=d, router=p, offered_rps=rate,
                             result=results[(d, p, rate)])
                   for d, p, rate in grid)
-    # Pool workers hit/store the on-disk cache in their own processes, so
-    # the parent's counter only reflects serial runs — report it as-is.
-    hits = (store.stats.hits - hits_before) if use_cache else 0
     return FleetReport(base=base, workload=workload, duration=duration,
                        autoscaler=autoscaler, cells=cells, cache_hits=hits)

@@ -9,6 +9,14 @@ default, the device topology, or the package version, and the key — and
 therefore the cache entry — changes with it.  Stale results can never be
 served across a model change.
 
+One store implementation, :class:`ResultStore`, serves three kinds of
+result: closed-loop cells (:class:`ResultCache`, ``<root>/results/``),
+open-loop runs (:class:`RateResultCache`, ``<root>/rate/``) and fleet
+runs (:class:`~repro.cluster.experiment.ClusterResultCache`,
+``<root>/cluster/``).  A kind chooses only its subdirectory, its key
+inputs and its codec.  An entry is the key's input payload plus a
+``"result"`` field, so every file names exactly what produced it.
+
 Corrupt or truncated cache files are *misses*, never crashes: they are
 counted in :class:`CacheStats` and logged, then recomputed.  All writes
 are best-effort (a read-only cache directory degrades to no caching)
@@ -36,7 +44,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 import repro
 from repro.gpu.exec_model import ExecutionModelConfig
@@ -57,14 +65,18 @@ __all__ = [
     "JsonStore",
     "RateResultCache",
     "ResultCache",
+    "ResultStore",
+    "cache_inputs",
     "cache_key",
     "cached_run_experiment",
     "cached_run_rate_experiment",
+    "canonical_digest",
     "default_cache",
     "default_rate_cache",
     "fingerprint",
     "locate_entry",
     "rate_cache_key",
+    "rate_inputs",
     "rate_result_from_dict",
     "rate_result_hash",
     "rate_result_to_dict",
@@ -171,6 +183,14 @@ def locate_entry(directory: Path, key: str) -> Path:
     return sharded
 
 
+def canonical_digest(payload: Any) -> str:
+    """SHA-256 hex digest of ``payload``'s canonical JSON (sorted keys,
+    no whitespace) — the one hash behind every cache key and result
+    hash."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def fingerprint() -> dict[str, Any]:
     """The code-relevant constants folded into every cache key.
 
@@ -213,33 +233,90 @@ def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def cache_key(config: ExperimentConfig,
-              constants: Optional[dict[str, Any]] = None,
-              faults=None,
-              guard: Optional[SloGuard] = None,
-              cluster: Optional[dict[str, Any]] = None) -> str:
-    """Stable content hash of (config, code constants, repro version).
+# -- key inputs --------------------------------------------------------------
 
-    ``faults`` (a :class:`~repro.faults.FaultSchedule`), ``guard``
-    (a :class:`~repro.server.slo.SloGuard`), and ``cluster`` (a
-    JSON-native fleet-topology payload, see :func:`~repro.cluster
-    .experiment.cluster_cache_key`) are folded in **only when given**,
-    so every pre-existing single-device fault-free key — and every
-    cached result under it — is untouched by the fault and fleet
-    layers.
+def _fold_given(payload: dict[str, Any], workload=None, faults=None,
+                guard: Optional[SloGuard] = None,
+                cluster: Optional[dict[str, Any]] = None) -> dict[str, Any]:
+    """Add each optional key input to ``payload`` **only when given**.
+
+    Absent inputs leave no trace, so every key minted before the
+    workload, fault and fleet layers existed is byte-identical today.
     """
-    payload = {
-        "config": config_to_dict(config),
-        "constants": constants if constants is not None else fingerprint(),
-    }
+    if workload is not None:
+        payload["workload"] = workload.to_dict()
     if faults is not None:
         payload["faults"] = faults.to_dict()
     if guard is not None:
         payload["guard"] = guard.to_dict()
     if cluster is not None:
         payload["cluster"] = cluster
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return payload
+
+
+def cache_inputs(config: ExperimentConfig,
+                 constants: Optional[dict[str, Any]] = None,
+                 faults=None,
+                 guard: Optional[SloGuard] = None) -> dict[str, Any]:
+    """The key input payload of one closed-loop cell: config, code
+    constants and — only when given — the fault schedule and guard."""
+    return _fold_given({
+        "config": config_to_dict(config),
+        "constants": constants if constants is not None else fingerprint(),
+    }, faults=faults, guard=guard)
+
+
+def cache_key(config: ExperimentConfig,
+              constants: Optional[dict[str, Any]] = None,
+              faults=None,
+              guard: Optional[SloGuard] = None) -> str:
+    """Stable content hash of (config, code constants, repro version).
+
+    ``faults`` (a :class:`~repro.faults.FaultSchedule`) and ``guard``
+    (a :class:`~repro.server.slo.SloGuard`) are folded in **only when
+    given**, so every pre-existing fault-free key — and every cached
+    result under it — is untouched by the fault layer.
+    """
+    return canonical_digest(
+        cache_inputs(config, constants, faults=faults, guard=guard))
+
+
+def rate_inputs(config: ExperimentConfig, offered_rps: float,
+                duration: float,
+                constants: Optional[dict[str, Any]] = None,
+                workload=None, faults=None,
+                guard: Optional[SloGuard] = None,
+                cluster: Optional[dict[str, Any]] = None) -> dict[str, Any]:
+    """The key input payload of one open-loop run (see
+    :func:`rate_cache_key`)."""
+    return _fold_given({
+        "kind": "rate",
+        "config": config_to_dict(config),
+        "constants": constants if constants is not None else fingerprint(),
+        "offered_rps": offered_rps,
+        "duration": duration,
+    }, workload=workload, faults=faults, guard=guard, cluster=cluster)
+
+
+def rate_cache_key(config: ExperimentConfig, offered_rps: float,
+                   duration: float,
+                   constants: Optional[dict[str, Any]] = None,
+                   workload=None, faults=None,
+                   guard: Optional[SloGuard] = None,
+                   cluster: Optional[dict[str, Any]] = None) -> str:
+    """Stable content hash of one open-loop run's inputs.
+
+    ``workload`` (a :mod:`repro.workload` spec), ``faults``, ``guard``,
+    and ``cluster`` (a JSON-native fleet-topology payload) are folded
+    in **only when given** — the :func:`cache_key` convention — so
+    plain Poisson keys are unaffected by the workload and fleet layers.
+    ``duration`` must be the *actual* run length (resolve defaults via
+    :func:`~repro.server.rate_experiment.default_rate_duration` before
+    keying).
+    """
+    return canonical_digest(rate_inputs(
+        config, offered_rps, duration, constants, workload=workload,
+        faults=faults, guard=guard, cluster=cluster))
 
 
 # -- result (de)serialisation ------------------------------------------------
@@ -283,9 +360,7 @@ def result_hash(result: ExperimentResult) -> str:
     identity the incremental rate-recompute path is held to (and what
     the bench harness compares across recompute modes).
     """
-    canonical = json.dumps(
-        result_to_dict(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(result_to_dict(result))
 
 
 def result_from_dict(payload: dict[str, Any]) -> ExperimentResult:
@@ -310,6 +385,39 @@ def result_from_dict(payload: dict[str, Any]) -> ExperimentResult:
         resilience=(ResilienceStats.from_dict(payload["resilience"])
                     if "resilience" in payload else None),
     )
+
+
+def rate_result_to_dict(result) -> dict[str, Any]:
+    """JSON-native form of one :class:`~repro.server.rate_experiment
+    .RateResult` (floats survive bit-exactly; the ``resilience`` block
+    appears only on guarded/fault-injected runs)."""
+    payload: dict[str, Any] = {
+        "offered_rps": result.offered_rps,
+        "achieved_rps": result.achieved_rps,
+        "latency": dataclasses.asdict(result.latency),
+        "queue_residue": result.queue_residue,
+    }
+    if result.resilience is not None:
+        payload["resilience"] = result.resilience.to_dict()
+    return payload
+
+
+def rate_result_from_dict(payload: dict[str, Any]):
+    """Inverse of :func:`rate_result_to_dict`."""
+    from repro.server.rate_experiment import RateResult
+    return RateResult(
+        offered_rps=payload["offered_rps"],
+        achieved_rps=payload["achieved_rps"],
+        latency=LatencyStats(**payload["latency"]),
+        queue_residue=payload["queue_residue"],
+        resilience=(ResilienceStats.from_dict(payload["resilience"])
+                    if "resilience" in payload else None),
+    )
+
+
+def rate_result_hash(result) -> str:
+    """Content hash of one rate result's canonical JSON payload."""
+    return canonical_digest(rate_result_to_dict(result))
 
 
 # -- stores ------------------------------------------------------------------
@@ -380,219 +488,172 @@ class JsonStore:
             pass  # caching is best-effort; computation still works
 
 
-class ResultCache:
-    """Content-addressed store of experiment results, one file per cell."""
+class ResultStore:
+    """Content-addressed results of one kind, one file per key under
+    ``<root>/<kind>/``.
+
+    A kind is a subclass that sets :attr:`kind` and the codec
+    (:attr:`encode`/:attr:`decode`).  Its entries are addressed by their
+    key *inputs*: the key is :func:`canonical_digest` of the inputs, and
+    the published entry is the inputs plus ``"result"``.  ``root=None``
+    re-reads ``REPRO_CACHE_DIR`` on every access, so one long-lived
+    instance follows environment changes.
+    """
+
+    #: Subdirectory of the cache root holding this kind's entries.
+    kind: ClassVar[str]
+    #: Result → JSON-native payload, and its inverse.
+    encode: ClassVar[Callable[[Any], dict[str, Any]]]
+    decode: ClassVar[Callable[[dict[str, Any]], Any]]
+    #: Whether a hit must record the same ``config`` as its key inputs
+    #: (closed-loop entries do; open-loop entries need not record one).
+    checks_config: ClassVar[bool] = False
 
     def __init__(self, root: Optional[Path] = None) -> None:
-        """``root=None`` re-reads ``REPRO_CACHE_DIR`` on every access, so
-        one long-lived instance follows environment changes."""
         self._root = root
         self.stats = CacheStats()
 
     def root(self) -> Path:
         return self._root if self._root is not None else cache_root()
+
+    def path_for(self, inputs: dict[str, Any]) -> Path:
+        """Canonical (sharded) location of the entry keyed by ``inputs``."""
+        return sharded_entry_path(self.root() / self.kind,
+                                  canonical_digest(inputs))
+
+    def get(self, inputs: dict[str, Any]) -> Any:
+        """Cached result keyed by ``inputs``, or ``None`` on any miss."""
+        return self._read(inputs, self.decode)
+
+    def put(self, inputs: dict[str, Any], result: Any) -> None:
+        """Best-effort store of ``result`` keyed by ``inputs``."""
+        self._publish(inputs, self.encode(result))
+
+    def get_or_run(self, run: Callable[[], Any], *cell: Any,
+                   **extra: Any) -> Any:
+        """The result stored for ``cell``, else ``run()``'s, stored.
+
+        ``cell`` and ``extra`` address the entry exactly as they do for
+        :meth:`get`; :meth:`put` receives them around the fresh result.
+        """
+        result = self.get(*cell, **extra)
+        if result is None:
+            result = run()
+            self.put(*cell, result, **extra)
+        return result
+
+    def _read(self, inputs: dict[str, Any],
+              decode: Callable[[dict[str, Any]], Any]) -> Any:
+        path = locate_entry(self.root() / self.kind, canonical_digest(inputs))
+        try:
+            raw = path.read_text()
+        except FileNotFoundError:
+            self.stats.misses += 1
+            return None
+        except OSError:
+            self.stats.misses += 1
+            self.stats.invalidations += 1
+            return None
+        try:
+            entry = json.loads(raw)
+            if not isinstance(entry, dict):
+                raise ValueError("cache entry is not an object")
+            if self.checks_config \
+                    and entry.get("config") != inputs["config"]:
+                raise ValueError("cache entry config mismatch")
+            result = decode(entry["result"])
+        except (ValueError, KeyError, TypeError):
+            self.stats.misses += 1
+            self.stats.invalidations += 1
+            logger.warning("discarding corrupt %s cache entry %s",
+                           self.kind, path)
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+        self.stats.hits += 1
+        return result
+
+    def _publish(self, inputs: dict[str, Any],
+                 encoded: dict[str, Any]) -> None:
+        path = sharded_entry_path(self.root() / self.kind,
+                                  canonical_digest(inputs))
+        try:
+            _atomic_write_text(
+                path, json.dumps({**inputs, "result": encoded}, indent=2,
+                                 sort_keys=True))
+            self.stats.stores += 1
+        except OSError:
+            pass  # caching is best-effort; computation still works
+
+
+class ResultCache(ResultStore):
+    """Closed-loop cell results under ``<root>/results/``, addressed by
+    (config, faults, guard)."""
+
+    kind = "results"
+    checks_config = True
 
     def path_for(self, config: ExperimentConfig, faults=None,
                  guard: Optional[SloGuard] = None) -> Path:
         """Canonical (sharded) location of one cell's cached result."""
-        key = cache_key(config, faults=faults, guard=guard)
-        return sharded_entry_path(self.root() / "results", key)
+        return super().path_for(
+            cache_inputs(config, faults=faults, guard=guard))
 
     def get(self, config: ExperimentConfig, faults=None,
             guard: Optional[SloGuard] = None) -> Optional[ExperimentResult]:
         """Cached result for ``config``, or ``None`` on any kind of miss."""
-        key = cache_key(config, faults=faults, guard=guard)
-        path = locate_entry(self.root() / "results", key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not an object")
-            if payload.get("config") != config_to_dict(config):
-                raise ValueError("cache entry config mismatch")
-            result = result_from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            logger.warning("discarding corrupt result cache entry %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return result
+        # The codec is read from the module globals at call time, so a
+        # wrapper installed on ``result_from_dict`` sees every hit.
+        return self._read(cache_inputs(config, faults=faults, guard=guard),
+                          result_from_dict)
 
     def put(self, config: ExperimentConfig, result: ExperimentResult,
             faults=None, guard: Optional[SloGuard] = None) -> None:
         """Best-effort store of one cell's result."""
-        path = self.path_for(config, faults=faults, guard=guard)
-        payload = {
-            "constants": fingerprint(),
-            "config": config_to_dict(config),
-            "result": result_to_dict(result),
-        }
-        if faults is not None:
-            payload["faults"] = faults.to_dict()
-        if guard is not None:
-            payload["guard"] = guard.to_dict()
-        try:
-            _atomic_write_text(
-                path, json.dumps(payload, indent=2, sort_keys=True))
-            self.stats.stores += 1
-        except OSError:
-            pass
+        self._publish(cache_inputs(config, faults=faults, guard=guard),
+                      result_to_dict(result))
 
 
-# -- open-loop (rate/workload) results ---------------------------------------
+class RateResultCache(ResultStore):
+    """Open-loop results under ``<root>/rate/``, addressed by
+    :func:`rate_inputs`."""
 
-def rate_cache_key(config: ExperimentConfig, offered_rps: float,
-                   duration: float,
-                   constants: Optional[dict[str, Any]] = None,
-                   workload=None, faults=None,
-                   guard: Optional[SloGuard] = None,
-                   cluster: Optional[dict[str, Any]] = None) -> str:
-    """Stable content hash of one open-loop run's inputs.
-
-    ``workload`` (a :mod:`repro.workload` spec), ``faults``, ``guard``,
-    and ``cluster`` (a JSON-native fleet-topology payload) are folded
-    in **only when given** — the :func:`cache_key` convention — so
-    plain Poisson keys are unaffected by the workload and fleet layers.
-    ``duration`` must be the *actual* run length (resolve defaults via
-    :func:`~repro.server.rate_experiment.default_rate_duration` before
-    keying).
-    """
-    payload: dict[str, Any] = {
-        "kind": "rate",
-        "config": config_to_dict(config),
-        "constants": constants if constants is not None else fingerprint(),
-        "offered_rps": offered_rps,
-        "duration": duration,
-    }
-    if workload is not None:
-        payload["workload"] = workload.to_dict()
-    if faults is not None:
-        payload["faults"] = faults.to_dict()
-    if guard is not None:
-        payload["guard"] = guard.to_dict()
-    if cluster is not None:
-        payload["cluster"] = cluster
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    kind = "rate"
+    encode = staticmethod(rate_result_to_dict)
+    decode = staticmethod(rate_result_from_dict)
 
 
-def rate_result_to_dict(result) -> dict[str, Any]:
-    """JSON-native form of one :class:`~repro.server.rate_experiment
-    .RateResult` (floats survive bit-exactly; the ``resilience`` block
-    appears only on guarded/fault-injected runs)."""
-    payload: dict[str, Any] = {
-        "offered_rps": result.offered_rps,
-        "achieved_rps": result.achieved_rps,
-        "latency": dataclasses.asdict(result.latency),
-        "queue_residue": result.queue_residue,
-    }
-    if result.resilience is not None:
-        payload["resilience"] = result.resilience.to_dict()
-    return payload
-
-
-def rate_result_from_dict(payload: dict[str, Any]):
-    """Inverse of :func:`rate_result_to_dict`."""
-    from repro.server.rate_experiment import RateResult
-    return RateResult(
-        offered_rps=payload["offered_rps"],
-        achieved_rps=payload["achieved_rps"],
-        latency=LatencyStats(**payload["latency"]),
-        queue_residue=payload["queue_residue"],
-        resilience=(ResilienceStats.from_dict(payload["resilience"])
-                    if "resilience" in payload else None),
-    )
-
-
-def rate_result_hash(result) -> str:
-    """Content hash of one rate result's canonical JSON payload."""
-    canonical = json.dumps(
-        rate_result_to_dict(result), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-class RateResultCache:
-    """Content-addressed store of open-loop results, one file per run,
-    under ``<root>/rate/`` (disjoint from the closed-loop store)."""
-
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self._root = root
-        self.stats = CacheStats()
-
-    def root(self) -> Path:
-        return self._root if self._root is not None else cache_root()
-
-    def path_for(self, key: str) -> Path:
-        return sharded_entry_path(self.root() / "rate", key)
-
-    def get(self, key: str):
-        """Cached result under ``key``, or ``None`` on any miss."""
-        path = locate_entry(self.root() / "rate", key)
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            return None
-        try:
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not an object")
-            result = rate_result_from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            self.stats.invalidations += 1
-            logger.warning("discarding corrupt rate cache entry %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return result
-
-    def put(self, key: str, result,
-            context: Optional[dict[str, Any]] = None) -> None:
-        """Best-effort store; ``context`` records the keyed inputs for
-        humans inspecting the file (it is not re-validated on read —
-        the key is already a content hash of those inputs)."""
-        payload: dict[str, Any] = {
-            "constants": fingerprint(),
-            "result": rate_result_to_dict(result),
-        }
-        if context:
-            payload.update(context)
-        try:
-            _atomic_write_text(
-                self.path_for(key),
-                json.dumps(payload, indent=2, sort_keys=True))
-            self.stats.stores += 1
-        except OSError:
-            pass
-
-
+_DEFAULT_CACHE = ResultCache()
 _DEFAULT_RATE_CACHE = RateResultCache()
+
+
+def default_cache() -> ResultCache:
+    """The process-wide result cache (root follows ``REPRO_CACHE_DIR``)."""
+    return _DEFAULT_CACHE
 
 
 def default_rate_cache() -> RateResultCache:
     """The process-wide rate-result cache (follows ``REPRO_CACHE_DIR``)."""
     return _DEFAULT_RATE_CACHE
+
+
+def cached_run_experiment(
+    config: ExperimentConfig,
+    cache: Optional[ResultCache] = None,
+    faults=None,
+    guard: Optional[SloGuard] = None,
+) -> ExperimentResult:
+    """:func:`~repro.server.experiment.run_experiment` through the cache.
+
+    ``faults``/``guard`` select the fault-injected variant of the cell;
+    its key (and file) is disjoint from the fault-free one.
+    """
+    store = cache if cache is not None else default_cache()
+    return store.get_or_run(
+        lambda: run_experiment(config, RunOptions(faults=faults, guard=guard)),
+        config, faults=faults, guard=guard)
 
 
 def cached_run_rate_experiment(
@@ -622,51 +683,9 @@ def cached_run_rate_experiment(
     if duration is None:
         duration = default_rate_duration(config)
     store = cache if cache is not None else default_rate_cache()
-    key = rate_cache_key(config, offered_rps, duration,
-                         workload=workload, faults=faults, guard=guard)
-    result = store.get(key)
-    if result is None:
-        result = run_rate_experiment(
+    return store.get_or_run(
+        lambda: run_rate_experiment(
             config, offered_rps, duration,
-            RunOptions(workload=workload, faults=faults, guard=guard))
-        context: dict[str, Any] = {
-            "config": config_to_dict(config),
-            "offered_rps": offered_rps,
-            "duration": duration,
-        }
-        if workload is not None:
-            context["workload"] = workload.to_dict()
-        if faults is not None:
-            context["faults"] = faults.to_dict()
-        if guard is not None:
-            context["guard"] = guard.to_dict()
-        store.put(key, result, context=context)
-    return result
-
-
-_DEFAULT_CACHE = ResultCache()
-
-
-def default_cache() -> ResultCache:
-    """The process-wide result cache (root follows ``REPRO_CACHE_DIR``)."""
-    return _DEFAULT_CACHE
-
-
-def cached_run_experiment(
-    config: ExperimentConfig,
-    cache: Optional[ResultCache] = None,
-    faults=None,
-    guard: Optional[SloGuard] = None,
-) -> ExperimentResult:
-    """:func:`~repro.server.experiment.run_experiment` through the cache.
-
-    ``faults``/``guard`` select the fault-injected variant of the cell;
-    its key (and file) is disjoint from the fault-free one.
-    """
-    store = cache if cache is not None else default_cache()
-    result = store.get(config, faults=faults, guard=guard)
-    if result is None:
-        result = run_experiment(
-            config, RunOptions(faults=faults, guard=guard))
-        store.put(config, result, faults=faults, guard=guard)
-    return result
+            RunOptions(workload=workload, faults=faults, guard=guard)),
+        rate_inputs(config, offered_rps, duration, workload=workload,
+                    faults=faults, guard=guard))

@@ -20,19 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.exp.cache import (
-    RateResultCache,
-    default_rate_cache,
-    rate_cache_key,
-)
+from repro.exp.cache import RateResultCache, default_rate_cache, rate_inputs
 from repro.server.experiment import ExperimentConfig
 from repro.server.metrics import LatencyStats
-from repro.server.options import (
-    _UNSET,
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.rate_experiment import (
     RateResult,
     default_rate_duration,
@@ -211,8 +202,6 @@ def run_load_curve(
     scales: tuple[float, ...] = DEFAULT_SCALES,
     duration: Optional[float] = None,
     options: Optional[RunOptions] = None,
-    guard=_UNSET,
-    faults=_UNSET,
     jobs: int = 1,
     use_cache: bool = True,
     cache: Optional[RateResultCache] = None,
@@ -237,15 +226,19 @@ def run_load_curve(
     reads and the process pool are bypassed; results are still written
     back, and are bit-identical — recording is pure observation).
 
+    Every cache read and write happens in this process, against
+    ``cache`` (default: the process-wide rate store); an entry is the
+    point's full key inputs plus its result.  ``use_cache=False``
+    neither reads nor writes the store.
+
     Harness options arrive via ``options=``
-    (:class:`~repro.server.options.RunOptions`); the ``guard``/``faults``
-    keywords are deprecated shims mapping into it.  The workload is this
-    function's positional argument, so ``options.workload`` — like the
-    fields a pooled curve cannot honour (``tracer``, ``recorder``,
-    ``metrics``, ``audit``) — is rejected.
+    (:class:`~repro.server.options.RunOptions`); only ``faults`` and
+    ``guard`` apply.  The workload is this function's positional
+    argument, so ``options.workload`` — like the fields a pooled curve
+    cannot honour (``tracer``, ``recorder``, ``metrics``, ``audit``) —
+    is rejected.
     """
-    opts = resolve_run_options("run_load_curve", options, guard=guard,
-                               faults=faults)
+    opts = options if options is not None else RunOptions()
     reject_unsupported("run_load_curve", opts, "tracer", "recorder",
                        "metrics", "audit", "workload")
     guard, faults = opts.guard, opts.faults
@@ -260,17 +253,17 @@ def run_load_curve(
 
     specs = {rate: workload.at_rate(rate) for rate in rates}
     store = cache if cache is not None else default_rate_cache()
-    keys = {rate: rate_cache_key(config, rate, duration,
-                                 workload=specs[rate], faults=faults,
-                                 guard=guard)
-            for rate in rates}
+    inputs = {rate: rate_inputs(config, rate, duration,
+                                workload=specs[rate], faults=faults,
+                                guard=guard)
+              for rate in rates}
 
     results: dict[float, RateResult] = {}
     attributions: dict[float, dict] = {}
     cache_hits = 0
     if use_cache and not attribute:
         for rate in rates:
-            hit = store.get(keys[rate])
+            hit = store.get(inputs[rate])
             if hit is not None:
                 results[rate] = hit
                 cache_hits += 1
@@ -294,9 +287,7 @@ def run_load_curve(
             return
         results[rate] = result
         if use_cache:
-            store.put(keys[rate], result,
-                      context={"offered_rps": rate, "duration": duration,
-                               "workload": specs[rate].to_dict()})
+            store.put(inputs[rate], result)
         if progress:
             progress(done, total, f"{rate:.0f} rps")
 

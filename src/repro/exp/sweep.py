@@ -40,12 +40,7 @@ from repro.server.experiment import (
     ExperimentResult,
     run_experiment,
 )
-from repro.server.options import (
-    _UNSET,
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.server.options import RunOptions, reject_unsupported
 
 __all__ = [
     "CellFailure",
@@ -224,9 +219,6 @@ def run_sweep(
     retries: int = 1,
     progress: Optional[ProgressFn] = None,
     options: Optional[RunOptions] = None,
-    metrics=_UNSET,
-    faults=_UNSET,
-    guard=_UNSET,
 ) -> SweepReport:
     """Run every cell of ``sweep``; never raises for individual cells.
 
@@ -236,10 +228,9 @@ def run_sweep(
     retried ``retries`` more times before landing in ``report.failed``.
 
     Harness options arrive via ``options=``
-    (:class:`~repro.server.options.RunOptions`); the ``metrics``/
-    ``faults``/``guard`` keywords are deprecated shims mapping into it.
-    Fields a process-pooled sweep cannot honour (``tracer``,
-    ``recorder``, ``audit``, ``workload``) are rejected.
+    (:class:`~repro.server.options.RunOptions`).  Fields a
+    process-pooled sweep cannot honour (``tracer``, ``recorder``,
+    ``audit``, ``workload``) are rejected.
 
     ``options.faults`` (a :class:`~repro.faults.FaultSchedule`) and
     ``options.guard`` (a :class:`~repro.server.slo.SloGuard`) apply to
@@ -254,8 +245,7 @@ def run_sweep(
     ``sweep_cell_seconds`` histogram — updated as cells resolve so a
     progress callback can read them mid-sweep.
     """
-    opts = resolve_run_options("run_sweep", options, metrics=metrics,
-                               faults=faults, guard=guard)
+    opts = options if options is not None else RunOptions()
     reject_unsupported("run_sweep", opts, "tracer", "recorder", "audit",
                        "workload")
     metrics, faults, guard = opts.metrics, opts.faults, opts.guard

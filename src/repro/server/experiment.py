@@ -20,12 +20,7 @@ from repro.gpu.topology import GpuTopology
 from repro.models.zoo import get_model
 from repro.profiling.model_profiler import run_inference_once
 from repro.server.metrics import LatencyStats
-from repro.server.options import (
-    _UNSET,
-    RunOptions,
-    reject_unsupported,
-    resolve_run_options,
-)
+from repro.server.options import RunOptions, reject_unsupported
 from repro.server.slo import ResilienceStats, SloGuard
 
 __all__ = [
@@ -199,22 +194,14 @@ def run_experiment(
     options: Optional[RunOptions] = None,
     *,
     stats_out: Optional[dict] = None,
-    tracer=_UNSET,
-    recorder=_UNSET,
-    metrics=_UNSET,
-    sample_interval=_UNSET,
-    faults=_UNSET,
-    guard=_UNSET,
-    audit=_UNSET,
 ) -> ExperimentResult:
     """Run one co-location cell and return its measurements.
 
     Harness options — tracer, recorder, metrics, sample interval, fault
     schedule, SLO guard, post-run audit — travel in a single frozen
-    :class:`~repro.server.options.RunOptions` passed as ``options=``.
-    The per-keyword spellings are deprecated shims that map into it (and
-    cannot be mixed with ``options=``).  ``RunOptions.workload`` is
-    rejected: this runner is closed-loop.
+    :class:`~repro.server.options.RunOptions` passed as ``options=``
+    (``None`` means all off).  ``RunOptions.workload`` is rejected:
+    this runner is closed-loop.
 
     ``stats_out`` (a plain dict) receives engine-level run statistics —
     ``events_executed`` and final ``sim_time`` — for harnesses (the
@@ -247,10 +234,7 @@ def run_experiment(
     """
     from repro.server.setup import ServingSetup
 
-    opts = resolve_run_options(
-        "run_experiment", options, tracer=tracer, recorder=recorder,
-        metrics=metrics, sample_interval=sample_interval, faults=faults,
-        guard=guard, audit=audit)
+    opts = options if options is not None else RunOptions()
     reject_unsupported("run_experiment", opts, "workload")
     tracer, recorder, metrics = opts.tracer, opts.recorder, opts.metrics
     sample_interval = opts.sample_interval

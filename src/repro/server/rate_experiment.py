@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.server.experiment import ExperimentConfig, slo_target
 from repro.server.metrics import LatencyStats
-from repro.server.options import _UNSET, RunOptions, resolve_run_options
+from repro.server.options import RunOptions
 from repro.server.slo import ResilienceStats, SloGuard
 
 __all__ = ["RateResult", "default_rate_duration", "run_rate_experiment",
@@ -61,15 +61,6 @@ def run_rate_experiment(
     offered_rps: Optional[float] = None,
     duration: Optional[float] = None,
     options: Optional[RunOptions] = None,
-    *,
-    workload=_UNSET,
-    tracer=_UNSET,
-    recorder=_UNSET,
-    metrics=_UNSET,
-    sample_interval=_UNSET,
-    faults=_UNSET,
-    guard=_UNSET,
-    audit=_UNSET,
 ) -> RateResult:
     """Drive the deployment open-loop and measure end-to-end latency.
 
@@ -80,9 +71,8 @@ def run_rate_experiment(
     rate of batches is ``offered_rps / batch_size``.
 
     Harness options travel in a single frozen
-    :class:`~repro.server.options.RunOptions` passed as ``options=``;
-    the per-keyword spellings below are deprecated shims mapping into
-    it (and cannot be mixed with ``options=``).
+    :class:`~repro.server.options.RunOptions` passed as ``options=``
+    (``None`` means all off).
 
     Parameters
     ----------
@@ -110,10 +100,7 @@ def run_rate_experiment(
     """
     from repro.server.setup import ServingSetup
 
-    opts = resolve_run_options(
-        "run_rate_experiment", options, workload=workload, tracer=tracer,
-        recorder=recorder, metrics=metrics, sample_interval=sample_interval,
-        faults=faults, guard=guard, audit=audit)
+    opts = options if options is not None else RunOptions()
     workload, tracer, recorder = opts.workload, opts.tracer, opts.recorder
     metrics, sample_interval = opts.metrics, opts.sample_interval
     faults, guard, audit = opts.faults, opts.guard, opts.audit

@@ -1,5 +1,7 @@
 """Tests for the krisp-repro command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -162,3 +164,28 @@ def test_chaos_command_accepts_allocation(tmp_path, monkeypatch):
     assert main(["chaos", "squeezenet", "-n", "2", "-p", "krisp-i",
                  "-s", "dropout", "--scale", "0.1", "--batch", "4",
                  "--allocation", "pooled", "--sizing", "predictive"]) == 0
+
+
+@pytest.mark.parametrize("command", ["load", "fleet"])
+def test_missing_spec_is_a_one_line_input_error(command, capsys):
+    assert main([command, "/nonexistent.yaml"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "/nonexistent.yaml" in err and "error" in err
+
+
+@pytest.mark.parametrize("command", ["load", "fleet"])
+@pytest.mark.parametrize("flags, needle", [
+    (["--rates", "-5"], "--rates"),
+    (["--scales", "1", "0"], "--scales"),
+    (["--duration", "-1"], "--duration"),
+    (["--deadline", "0"], "deadline"),
+], ids=["rates", "scales", "duration", "deadline"])
+def test_out_of_range_values_are_a_one_line_input_error(command, flags,
+                                                        needle, capsys):
+    spec = (Path(__file__).resolve().parents[1] / "examples" / "workloads"
+            / "poisson-squeezenet.yaml")
+    assert main([command, str(spec), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert needle in err and "> 0" in err

@@ -77,6 +77,25 @@ def test_cluster_cache_roundtrips_and_hits(tmp_path):
     assert cluster_result_hash(first) == cluster_result_hash(second)
 
 
+def test_pooled_fleet_reads_and_writes_the_given_store(tmp_path,
+                                                      monkeypatch):
+    default_root = tmp_path / "default"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(default_root))
+    given = tmp_path / "given"
+    kwargs = dict(devices=(1,), scales=(0.5, 1.0), duration=0.3, jobs=2)
+
+    first = run_fleet(_base(), _poisson_spec(),
+                      cache=ClusterResultCache(root=given), **kwargs)
+    assert first.cache_hits == 0
+    assert len(list((given / "cluster").rglob("*.json"))) == 2
+    assert not list(default_root.rglob("*.json"))
+
+    second = run_fleet(_base(), _poisson_spec(),
+                       cache=ClusterResultCache(root=given), **kwargs)
+    assert second.cache_hits == 2
+    assert second.to_json() == first.to_json()
+
+
 def test_cluster_cache_key_discriminates_topology():
     spec = _poisson_spec()
     key = cluster_cache_key(_base(), 200.0, 0.5, workload=spec)

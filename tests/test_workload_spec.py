@@ -8,6 +8,7 @@ import pytest
 from repro.exp.cache import (
     RateResultCache,
     rate_cache_key,
+    rate_inputs,
     rate_result_from_dict,
     rate_result_hash,
     rate_result_to_dict,
@@ -197,12 +198,12 @@ def test_rate_result_round_trip_and_hash():
 def test_rate_result_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cache = RateResultCache()
-    key = rate_cache_key(CONFIG, 100.0, 0.5, workload=POISSON)
-    assert cache.get(key) is None
+    inputs = rate_inputs(CONFIG, 100.0, 0.5, workload=POISSON)
+    assert cache.get(inputs) is None
     assert cache.stats.misses == 1
     result = _result()
-    cache.put(key, result, context={"offered_rps": 100.0})
-    assert cache.get(key) == result
+    cache.put(inputs, result)
+    assert cache.get(inputs) == result
     assert cache.stats.hits == 1
     assert cache.stats.stores == 1
 
@@ -211,8 +212,8 @@ def test_rate_result_cache_treats_corruption_as_miss(tmp_path,
                                                      monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cache = RateResultCache()
-    key = rate_cache_key(CONFIG, 100.0, 0.5)
-    cache.put(key, _result())
-    cache.path_for(key).write_text("{ not json")
-    assert cache.get(key) is None
-    assert not cache.path_for(key).exists()  # corrupt entry evicted
+    inputs = rate_inputs(CONFIG, 100.0, 0.5)
+    cache.put(inputs, _result())
+    cache.path_for(inputs).write_text("{ not json")
+    assert cache.get(inputs) is None
+    assert not cache.path_for(inputs).exists()  # corrupt entry evicted
